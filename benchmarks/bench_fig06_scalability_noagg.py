@@ -2,7 +2,7 @@
 
 Fig. 6a sweeps g at d=4, k=7 (the paper states these values for this
 experiment); Fig. 6b sweeps n at d=5 (the paper leaves k implicit; we
-use k=8, the mid-range — recorded in EXPERIMENTS.md).
+use k=8, the mid-range — recorded in docs/paper-map.md, Sec. 7).
 """
 
 import pytest

@@ -2,7 +2,7 @@
 
 Same shape as Fig. 4: anti-correlated slowest, correlated fastest.
 The paper leaves (d, k) implicit for this figure; we use d=5, k=8
-(recorded in EXPERIMENTS.md).
+(recorded in docs/paper-map.md, Sec. 7).
 """
 
 import pytest

@@ -28,7 +28,7 @@ from ..relational.join import (
     cartesian_pairs,
     equality_pairs,
     pairs_product,
-    theta_conjunction_mask,
+    theta_pair_mask,
 )
 from ..relational.relation import Relation
 from .categorize import Categorization, categorize, categorize_theta
@@ -54,6 +54,17 @@ __all__ = [
     "CascadeStats",
     "CascadeStatsDict",
 ]
+
+#: Element budget of one left-block x right-rows theta mask in
+#: :meth:`JoinPlan.compatible_pairs` (2^22 bools, ~4 MiB).
+_THETA_MASK_BUDGET = 1 << 22
+
+
+def _as_rows(rows: Sequence[int]) -> IntVector:
+    """A row-index sequence (list, range or array) as an intp vector."""
+    if isinstance(rows, np.ndarray):
+        return rows.astype(np.intp, copy=False).reshape(-1)
+    return np.asarray(list(rows), dtype=np.intp)
 
 
 class PlanStatsDict(TypedDict):
@@ -212,7 +223,7 @@ class JoinPlan:
     lock-free fast-path *reads* are legal but every write must hold
     ``_memo_lock``.
 
-    # guarded-by-writes: _memo_lock: _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats, _side_indexes, _cell_partitions
+    # guarded-by-writes: _memo_lock: _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats, _side_indexes, _cell_partitions, _join_codes
     """
 
     def __init__(
@@ -255,6 +266,7 @@ class JoinPlan:
         self._stats: PlanStats | None = None
         self._side_indexes: dict[str, DominanceIndex] = {}
         self._cell_partitions: dict[tuple[object, object], CellPartition] = {}
+        self._join_codes: tuple[IntVector, IntVector] | None = None
         # Cached plans are shared by every concurrent Engine.execute
         # caller, so lazy builds are guarded (double-checked) by a
         # reentrant lock: derived structures are built exactly once.
@@ -504,65 +516,105 @@ class JoinPlan:
 
         A tuple is SS when it is a k'-dominant skyline of the whole
         relation and NN otherwise; the fate table then decides every
-        joined tuple without any verification.
+        joined tuple without any verification. Testing each row against
+        the whole relation needs no self-exclusion: a row is never
+        strictly better than itself or than an exact duplicate.
         """
-        from ..skyline.dominance import is_k_dominated
+        from ..skyline.dominance import k_dominated_any
         from .categorize import Category
 
         matrix = relation.oriented()
-        labels = np.full(len(relation), Category.NN, dtype=np.int8)
-        for row in range(len(relation)):
-            if not is_k_dominated(matrix, matrix[row], k_prime):
-                labels[row] = Category.SS
+        dominated = k_dominated_any(matrix, matrix, k_prime)
+        labels = np.where(dominated, Category.NN, Category.SS).astype(np.int8)
         return Categorization(relation=relation, k_prime=k_prime, labels=labels)
 
     # ------------------------------------------------------------------
     # Pair enumeration between row subsets
     # ------------------------------------------------------------------
+    def join_codes(self) -> tuple[IntVector, IntVector]:
+        """Integer equality-join codes of every left and right row.
+
+        Built once per plan from one dict over both sides'
+        :meth:`Relation.join_keys`: each distinct left key gets the next
+        code in first-seen order, and a right row gets the code of the
+        left key equal to its own, or ``-1`` when no left row carries
+        it. Dict lookup keeps Python key equality exactly (``1 == 1.0
+        == True``, mixed types, composite tuples), and codes agree
+        across the two sides because one dict assigns both.
+        """
+        if self._join_codes is None:
+            with self._memo_lock:
+                if self._join_codes is None:
+                    ids: dict[JoinKey, int] = {}
+                    left = np.fromiter(
+                        (ids.setdefault(key, len(ids)) for key in self.left.join_keys()),
+                        dtype=np.intp,
+                        count=len(self.left),
+                    )
+                    right = np.fromiter(
+                        (ids.get(key, -1) for key in self.right.join_keys()),
+                        dtype=np.intp,
+                        count=len(self.right),
+                    )
+                    self._join_codes = (left, right)
+        return self._join_codes
+
     def compatible_pairs(
         self, left_rows: Sequence[int], right_rows: Sequence[int]
     ) -> IntMatrix:
-        """Join-compatible pairs between two row subsets (m x 2)."""
-        left_rows = np.asarray(list(left_rows), dtype=np.intp)
-        right_rows = np.asarray(list(right_rows), dtype=np.intp)
+        """Join-compatible pairs between two row subsets (m x 2).
+
+        Order contract: left rows in the caller's order, each followed
+        by its partners in the caller's right-row order; duplicated
+        rows yield duplicated pairs.
+        """
+        left_rows = _as_rows(left_rows)
+        right_rows = _as_rows(right_rows)
         if left_rows.size == 0 or right_rows.size == 0:
             return np.empty((0, 2), dtype=np.intp)
         if self.kind == "cartesian":
             return pairs_product(left_rows, right_rows)
         if self.kind == "equality":
-            lkeys = self.left.join_keys()
-            by_key: dict[JoinKey, list[int]] = {}
-            for r in right_rows:
-                by_key.setdefault(self.right.join_key(int(r)), []).append(int(r))
-            chunks = []
-            for l in left_rows:
-                partners = by_key.get(lkeys[int(l)])
-                if partners:
-                    chunks.append(pairs_product([int(l)], partners))
-            if not chunks:
+            left_codes, right_codes = self.join_codes()
+            codes = right_codes[right_rows]
+            # A stable sort keeps equal-code right rows in caller order.
+            order = np.argsort(codes, kind="stable")
+            sorted_codes = codes[order]
+            wanted = left_codes[left_rows]
+            lo = np.searchsorted(sorted_codes, wanted, side="left")
+            counts = np.searchsorted(sorted_codes, wanted, side="right") - lo
+            total = int(counts.sum())
+            if total == 0:
                 return np.empty((0, 2), dtype=np.intp)
-            return np.concatenate(chunks, axis=0)
-        # theta: filter the cross product through the conjunction
+            # Position of each output pair within its left row's run of
+            # partners, shifted to that run's start in the sorted order.
+            run_starts = np.cumsum(counts) - counts
+            sorted_pos = np.arange(total, dtype=np.intp) + np.repeat(
+                lo - run_starts, counts
+            )
+            return np.column_stack(
+                [np.repeat(left_rows, counts), right_rows[order[sorted_pos]]]
+            )
+        # theta: the conjunction's mask over left x right, in blocks of
+        # left rows; np.nonzero walks it row-major, i.e. in caller order.
         value_pairs = [
             (
-                np.asarray(self.left.column(cond.left_attr), dtype=np.float64),
-                np.asarray(self.right.column(cond.right_attr), dtype=np.float64),
+                np.asarray(self.left.column(cond.left_attr), dtype=np.float64)[left_rows],
+                np.asarray(self.right.column(cond.right_attr), dtype=np.float64)[
+                    right_rows
+                ],
             )
             for cond in self.theta_conditions
         ]
-        right_subsets = [rvals[right_rows] for _, rvals in value_pairs]
+        step = max(1, _THETA_MASK_BUDGET // right_rows.size)
         chunks = []
-        for l in left_rows:
-            mask = theta_conjunction_mask(
-                self.theta_conditions,
-                [lvals[int(l)] for lvals, _ in value_pairs],
-                right_subsets,
-            )
-            partners = right_rows[mask]
-            if partners.size:
-                chunks.append(pairs_product([int(l)], partners))
-        if not chunks:
-            return np.empty((0, 2), dtype=np.intp)
+        for start in range(0, left_rows.size, step):
+            stop = start + step
+            mask = np.ones((min(stop, left_rows.size) - start, right_rows.size), dtype=bool)
+            for cond, (lvals, rvals) in zip(self.theta_conditions, value_pairs):
+                mask &= theta_pair_mask(cond, lvals[start:stop, None], rvals[None, :])
+            li, ri = np.nonzero(mask)
+            chunks.append(np.column_stack([left_rows[start + li], right_rows[ri]]))
         return np.concatenate(chunks, axis=0)
 
     def compatible_pair_count(
@@ -574,45 +626,38 @@ class JoinPlan:
         cell cardinalities matter: for an equality join the count is
         ``sum_g |L_g| * |R_g|`` over shared group keys.
         """
-        left_rows = np.asarray(list(left_rows), dtype=np.intp)
-        right_rows = np.asarray(list(right_rows), dtype=np.intp)
+        left_rows = _as_rows(left_rows)
+        right_rows = _as_rows(right_rows)
         if left_rows.size == 0 or right_rows.size == 0:
             return 0
         if self.kind == "cartesian":
             return int(left_rows.size) * int(right_rows.size)
         if self.kind == "equality":
-            left_counts: dict[JoinKey, int] = {}
-            for r in left_rows:
-                key = self.left.join_key(int(r))
-                left_counts[key] = left_counts.get(key, 0) + 1
-            right_counts: dict[JoinKey, int] = {}
-            for r in right_rows:
-                key = self.right.join_key(int(r))
-                right_counts[key] = right_counts.get(key, 0) + 1
-            return sum(
-                count * right_counts.get(key, 0) for key, count in left_counts.items()
-            )
+            left_codes, right_codes = self.join_codes()
+            codes = right_codes[right_rows]
+            per_code = np.bincount(codes[codes >= 0], minlength=left_codes.size)
+            return int(per_code[left_codes[left_rows]].sum())
         # theta: sorted partner counts via binary search (single
         # condition); conjunctions fall back to enumeration.
         from ..relational.groups import ThetaOp
 
         if len(self.theta_conditions) > 1:
             return int(self.compatible_pairs(left_rows, right_rows).shape[0])
+        assert self.theta is not None
         lvals = np.asarray(self.left.column(self.theta.left_attr), dtype=np.float64)
         rvals = np.asarray(self.right.column(self.theta.right_attr), dtype=np.float64)
         rsorted = np.sort(rvals[right_rows])
-        total = 0
-        for l in left_rows:
-            value = lvals[int(l)]
-            if self.theta.op is ThetaOp.LT:
-                total += rsorted.size - int(np.searchsorted(rsorted, value, side="right"))
-            elif self.theta.op is ThetaOp.LE:
-                total += rsorted.size - int(np.searchsorted(rsorted, value, side="left"))
-            elif self.theta.op is ThetaOp.GT:
-                total += int(np.searchsorted(rsorted, value, side="left"))
-            else:
-                total += int(np.searchsorted(rsorted, value, side="right"))
-        return total
+        values = lvals[left_rows]
+        op = self.theta.op
+        if op is ThetaOp.LT:
+            counts = rsorted.size - np.searchsorted(rsorted, values, side="right")
+        elif op is ThetaOp.LE:
+            counts = rsorted.size - np.searchsorted(rsorted, values, side="left")
+        elif op is ThetaOp.GT:
+            counts = np.searchsorted(rsorted, values, side="left")
+        else:
+            counts = np.searchsorted(rsorted, values, side="right")
+        return int(counts.sum())
 
     def __repr__(self) -> str:
         agg = self.aggregate.name if self.aggregate else None

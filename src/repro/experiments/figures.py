@@ -3,7 +3,7 @@
 Sizes are in paper units (Table 7 defaults: n=3300, d=7, k=11, a=2,
 g=10, independent, delta=10000); the harness scales them. Where the
 paper leaves a sub-experiment's parameters implicit, the choice made
-here is recorded in EXPERIMENTS.md.
+here is recorded in docs/paper-map.md (Sec. 7).
 """
 
 from __future__ import annotations

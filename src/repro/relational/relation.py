@@ -230,10 +230,6 @@ class Relation:
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
-    def join_key(self, row: int) -> JoinKey:
-        """Composite equality-join key of one row."""
-        return tuple(self._join_cols[c][row] for c in self.schema.join_names)
-
     def join_keys(self) -> list[JoinKey]:
         """Composite join keys for all rows, in row order."""
         cols = [self._join_cols[c] for c in self.schema.join_names]

@@ -105,7 +105,9 @@ def is_k_dominated(
     """Is ``v`` k-dominated by any row of ``matrix``?
 
     Evaluated in blocks with early exit so large matrices do not pay the
-    full comparison cost when a dominator appears early.
+    full comparison cost when a dominator appears early. Within a block
+    only the rows reaching ``k`` better-or-equal attributes are tested
+    for a strict improvement, and a block with none skips that test.
     """
     n = matrix.shape[0]
     if n == 0:
@@ -113,10 +115,10 @@ def is_k_dominated(
     block = 4096
     for start in range(0, n, block):
         sub = matrix[start : start + block]
-        mask = (boe_counts(sub, v) >= k) & strict_any(sub, v)
+        enough = (sub <= v).sum(axis=1) >= k
         if exclude is not None and start <= exclude < start + sub.shape[0]:
-            mask[exclude - start] = False
-        if mask.any():
+            enough[exclude - start] = False
+        if enough.any() and (sub[enough] < v).any():
             return True
     return False
 

@@ -91,7 +91,7 @@ class TestConstruction:
             aggregate=["x"],
         )
         assert rel.schema.aggregate_names == ("x",)
-        assert rel.join_key(1) == (1,)
+        assert rel.join_keys()[1] == (1,)
 
     def test_from_arrays_shape_errors(self):
         with pytest.raises(SchemaError, match="2-D"):
